@@ -4,18 +4,21 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"ldp/internal/dataset"
 	"ldp/internal/pipeline"
+	"ldp/internal/rangequery"
 	"ldp/internal/rng"
 	"ldp/internal/transport"
 )
@@ -255,4 +258,113 @@ func TestSIGTERMEdgeFinalPush(t *testing.T) {
 	if got := statsN(t, rootBase); got != n {
 		t.Errorf("root has %d reports after edge shutdown, want %d (final push missed)", got, n)
 	}
+}
+
+// metricValue reads one unlabelled series off /metrics.
+func metricValue(t *testing.T, base, name string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return ""
+}
+
+// TestSIGKILLRestartReplaysOnlyTheTail runs the checkpointed restart
+// path on the real binary. A clean SIGTERM leaves a checkpoint at the
+// log's end, so the next start restores everything and replays nothing;
+// a kill -9 skips the final checkpoint, so the next start restores the
+// last checkpoint and replays exactly the reports acked after it. Every
+// acked report survives both (the log writes through, so a killed
+// process loses nothing the kernel has).
+func TestSIGKILLRestartReplaysOnlyTheTail(t *testing.T) {
+	bin := buildServer(t)
+	logdir := filepath.Join(t.TempDir(), "wal")
+	addr := freeAddr(t)
+	base := "http://" + addr
+	start := func() *exec.Cmd {
+		cmd := exec.Command(bin, "-addr", addr, "-dataset", "br", "-eps", "1", "-range",
+			"-logdir", logdir, "-drain", "5s", "-log-level", "warn")
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		waitReady(t, base)
+		return cmd
+	}
+	stop := func(cmd *exec.Cmd, sig syscall.Signal) {
+		t.Helper()
+		if err := cmd.Process.Signal(sig); err != nil {
+			t.Fatal(err)
+		}
+		err := cmd.Wait()
+		if sig == syscall.SIGTERM && err != nil {
+			t.Fatalf("server did not exit cleanly on SIGTERM: %v", err)
+		}
+	}
+	c := dataset.NewBR()
+	p, err := pipeline.New(c.Schema(), 1, pipeline.WithRange(rangequery.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := transport.NewPipelineClient(base, p)
+	send := func(first, n int) {
+		t.Helper()
+		reps := make([]pipeline.Report, n)
+		for i := range reps {
+			r := rng.NewStream(5, uint64(first+i))
+			if reps[i], err = p.Randomize(c.Tuple(r), r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := client.SendReports(context.Background(), reps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(n int64, restored, replayed string) {
+		t.Helper()
+		if got := statsN(t, base); got != n {
+			t.Errorf("n = %d after restart, want %d", got, n)
+		}
+		if got := metricValue(t, base, "ldp_checkpoint_restored_reports"); got != restored {
+			t.Errorf("restored %s reports from the checkpoint, want %s", got, restored)
+		}
+		if got := metricValue(t, base, "ldp_wal_replayed_records"); got != replayed {
+			t.Errorf("replayed %s log records, want %s", got, replayed)
+		}
+	}
+
+	cmd := start()
+	defer func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	}()
+	send(0, 200)
+	stop(cmd, syscall.SIGTERM)
+
+	cmd = start()
+	expect(200, "200", "0")
+	send(200, 100)
+	stop(cmd, syscall.SIGKILL)
+
+	cmd = start()
+	expect(300, "200", "100")
+	stop(cmd, syscall.SIGTERM)
+
+	cmd = start()
+	expect(300, "300", "0")
+	stop(cmd, syscall.SIGTERM)
 }

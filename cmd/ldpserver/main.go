@@ -21,8 +21,23 @@
 // unsynced per-record writes.
 //
 // The schema (and the privacy budget, which fixes the randomizer debiasing
-// parameters) must match what the clients use. On startup, any existing
-// report log is recovered and replayed so estimates survive restarts.
+// parameters) must match what the clients use.
+//
+// Durability and restart: with -logdir, every accepted report is written
+// to the report log before it is folded. Each time the log grows by one
+// 64 MiB segment, and once more after the final commit at clean
+// shutdown, the server writes a checkpoint (checkpoint.ldp in -logdir):
+// the aggregate state at a log position P, cut consistently with the log
+// and made durable by tmp write, fsync, rename and directory fsync, after
+// which the segments wholly below P are deleted. On startup the server
+// restores the checkpoint and replays only the log after P, in one pass
+// that also truncates a torn tail, so restart time and disk track the
+// state size plus at most about one segment of reports, not the whole
+// history. A checkpoint cut under different flags (schema, budget, tasks,
+// SGD setup) makes startup fail with an error naming the file. A root
+// that has applied any /v1/merge stops checkpointing until it restarts:
+// merged edge state is not in its log, and edges re-push it after a
+// restart, so it restarts from its last pre-merge checkpoint plus the log.
 //
 // With -sgd the server additionally coordinates federated LDP-SGD over
 // the dataset's ERM feature encoding: it publishes the model on
@@ -80,6 +95,7 @@ import (
 	"time"
 
 	"ldp/internal/chaos"
+	"ldp/internal/checkpoint"
 	"ldp/internal/cluster"
 	"ldp/internal/dataset"
 	"ldp/internal/pipeline"
@@ -88,6 +104,10 @@ import (
 	"ldp/internal/telemetry"
 	"ldp/internal/transport"
 )
+
+// segmentSize is the report log's rotation threshold, and so the
+// checkpoint cadence: one checkpoint per segment of log growth.
+const segmentSize = 64 << 20
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -228,26 +248,23 @@ func run(args []string) error {
 	var sink transport.Sink
 	var wal *reportlog.Writer
 	var walClose func() error
+	var recovered checkpoint.Recovery
+	rotated := make(chan struct{}, 1)
 	if *logdir != "" {
-		stats, err := reportlog.Recover(*logdir)
+		// One pass: restore the checkpoint, then recover and replay only
+		// the log written after it.
+		recovered, err = checkpoint.Recover(*logdir, p)
 		if err != nil {
-			return fmt.Errorf("recover report log: %w", err)
+			return err
 		}
-		if stats.Records > 0 {
-			n, err := transport.ReplayPipeline(p, func(fn func([]byte) error) error {
-				_, err := reportlog.Replay(*logdir, fn)
-				return err
-			})
-			if err != nil {
-				return fmt.Errorf("replay report log: %w", err)
-			}
-			logger.Info("replayed report log", "reports", n, "dir", *logdir)
-		}
-		var logOpts []reportlog.Option
+		logger.Info("recovered report log", "dir", *logdir, "checkpoint", recovered.Loaded,
+			"restored_reports", recovered.Restored, "replayed_records", recovered.Replayed,
+			"torn_tail", recovered.Log.Truncated)
+		logOpts := []reportlog.Option{reportlog.WithRotateSignal(rotated), reportlog.WithTelemetry(reg)}
 		if *logSync > 0 {
 			logOpts = append(logOpts, reportlog.WithGroupCommit(*logSync, *logSyncB))
 		}
-		w, err := reportlog.Open(*logdir, 64<<20, logOpts...)
+		w, err := reportlog.Open(*logdir, segmentSize, logOpts...)
 		if err != nil {
 			return err
 		}
@@ -343,6 +360,25 @@ func run(args []string) error {
 		}))
 	}
 	ps := transport.NewPipelineServer(p, sink, srvOpts...)
+
+	// Checkpoints: one per segment of log growth, cut off the ingest path
+	// (see internal/checkpoint), plus a final one after the last commit.
+	var cp *checkpoint.Checkpointer
+	cpCtx, cpCancel := context.WithCancel(context.Background())
+	defer cpCancel()
+	cpDone := make(chan struct{})
+	if wal != nil {
+		cp = checkpoint.New(checkpoint.Config{
+			Dir: *logdir, Server: ps, WAL: wal,
+			From: recovered, Registry: reg, Logger: logger,
+		})
+		go func() {
+			defer close(cpDone)
+			cp.Run(cpCtx, rotated)
+		}()
+	} else {
+		close(cpDone)
+	}
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           ps,
@@ -391,8 +427,9 @@ func run(args []string) error {
 
 	// Shutdown order matters: flip readiness first (load balancers stop
 	// routing), drain the listener, stop the push loop, make one final
-	// best-effort push, and only then commit and close the report log —
-	// the WAL must outlive everything that appends to it.
+	// best-effort push, stop the checkpoint loop, and only then commit and
+	// close the report log — the WAL must outlive everything that appends
+	// to it — and cut the final checkpoint at its end.
 	ps.SetDraining(true)
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drain)
 	defer cancelDrain()
@@ -412,9 +449,17 @@ func run(args []string) error {
 		}
 		cancelPush()
 	}
+	cpCancel()
+	<-cpDone
 	if walClose != nil {
 		if err := walClose(); err != nil {
 			return fmt.Errorf("close report log: %w", err)
+		}
+		// The log is committed and closed: a checkpoint at its end makes
+		// the next start replay nothing. Failing it only costs that start
+		// a longer replay.
+		if _, err := cp.Final(); err != nil {
+			logger.Warn("final checkpoint failed; the next start replays the log from the previous one", "err", err)
 		}
 	}
 	logger.Info("shutdown complete")

@@ -122,7 +122,11 @@
 // report can also be WAL-persisted before it folds (internal/reportlog,
 // with group-commit fsync batching), and the forwarder syncs the log
 // before every push, so an edge crash never loses a report the root has
-// counted.
+// counted. A restart does not re-fold the whole log: internal/checkpoint
+// keeps the aggregate state as of a log position, cut consistently with
+// the log and written durably once per log segment and at clean
+// shutdown, so startup restores it and replays only the log written
+// after it, and the segments it covers are deleted.
 //
 // The service degrades predictably under overload and partial failure.
 // Mutating routes sit behind a bounded in-flight admission limiter

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"ldp"
+	"ldp/internal/checkpoint"
 	"ldp/internal/dataset"
 	"ldp/internal/reportlog"
 )
@@ -112,21 +113,18 @@ func run(users int, out io.Writer) error {
 		return err
 	}
 
-	// Simulate a restart: recover the log and rebuild the pipeline.
-	if _, err := reportlog.Recover(logDir); err != nil {
-		return err
-	}
+	// Simulate a restart: recover the log into a fresh pipeline in one
+	// pass (restoring a checkpoint first when the directory holds one,
+	// as cmd/ldpserver does; this example never writes one).
 	fresh, err := ldp.New(census.Schema(), eps, ldp.WithShards(4))
 	if err != nil {
 		return err
 	}
-	replayed, err := ldp.ReplayPipeline(fresh, func(fn func([]byte) error) error {
-		_, err := reportlog.Replay(logDir, fn)
-		return err
-	})
+	rec, err := checkpoint.Recover(logDir, fresh)
 	if err != nil {
 		return err
 	}
+	replayed := rec.Replayed
 	freshMean, err := fresh.Snapshot().Mean(census.Schema().Attrs[0].Name)
 	if err != nil {
 		return err

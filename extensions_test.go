@@ -79,40 +79,3 @@ func TestAuditFacade(t *testing.T) {
 		t.Error("Samples < Bins must be rejected")
 	}
 }
-
-func TestSnapshotThroughFacade(t *testing.T) {
-	s, err := NewSchema(
-		Attribute{Name: "x", Kind: Numeric},
-		Attribute{Name: "c", Kind: Categorical, Cardinality: 3},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := NewCollector(s, 1, PM, OUE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := NewAggregator(col)
-	r := NewRand(4)
-	for i := 0; i < 500; i++ {
-		tup := NewTuple(s)
-		tup.Num[0] = 0.25
-		tup.Cat[1] = i % 3
-		rep, err := col.Perturb(tup, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := agg.Add(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fresh := NewAggregator(col)
-	if err := fresh.LoadSnapshot(agg.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := agg.MeanEstimate(0)
-	b, _ := fresh.MeanEstimate(0)
-	if a != b {
-		t.Errorf("snapshot mean %v != %v", b, a)
-	}
-}

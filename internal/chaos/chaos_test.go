@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ldp/internal/checkpoint"
 	"ldp/internal/cluster"
 	"ldp/internal/core"
 	"ldp/internal/pipeline"
@@ -375,21 +376,16 @@ func TestEdgeRestartUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restart": recover + replay the WAL into a fresh pipeline; the new
-	// forwarder resyncs its acked baseline from the root.
-	if _, err := reportlog.Recover(walDir); err != nil {
-		t.Fatal(err)
-	}
+	// "Restart": recover the WAL into a fresh pipeline in one pass, as
+	// cmd/ldpserver does; the new forwarder resyncs its acked baseline
+	// from the root.
 	edge2 := testPipeline(t)
-	n, err := transport.ReplayPipeline(edge2, func(fn func([]byte) error) error {
-		_, err := reportlog.Replay(walDir, fn)
-		return err
-	})
+	rec, err := checkpoint.Recover(walDir, edge2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != wave {
-		t.Fatalf("replayed %d reports, want %d", n, wave)
+	if rec.Replayed != wave {
+		t.Fatalf("replayed %d reports, want %d", rec.Replayed, wave)
 	}
 	wal2, err := reportlog.Open(walDir, 1<<20)
 	if err != nil {

@@ -145,6 +145,43 @@ func TestSnapshotTrainerSection(t *testing.T) {
 	}
 }
 
+// TestSnapshotTrainerRoundSection round-trips the open round's
+// accumulator a checkpoint carries, and checks a frame without it decodes
+// to no accumulator even into a buffer that held one.
+func TestSnapshotTrainerRoundSection(t *testing.T) {
+	st := &pipeline.AggState{
+		MeanSum:  []float64{1, 2},
+		JointSum: []float64{0, 0},
+		Trainer: &pipeline.TrainerState{Round: 1, Accepted: 6, Beta: []float64{0.5, -0.25},
+			Sum: []float64{2, -1.5}, Count: 2},
+	}
+	frame, err := EncodeSnapshot(&Snapshot{Edge: "e", State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := got.State.Trainer
+	if tr.Count != 2 || len(tr.Sum) != 2 || tr.Sum[0] != 2 || tr.Sum[1] != -1.5 {
+		t.Fatalf("trainer round mangled: %+v", tr)
+	}
+	st.Trainer.Sum, st.Trainer.Count = nil, 0
+	if frame, err = EncodeSnapshot(&Snapshot{Edge: "e", State: st}); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeSnapshotInto(frame, got); err != nil {
+		t.Fatal(err)
+	}
+	if tr := got.State.Trainer; tr.Sum != nil || tr.Count != 0 {
+		t.Fatalf("frame without a round section decoded to %+v", tr)
+	}
+	if _, err := DecodeSnapshot(frame[:len(frame)-5]); err == nil {
+		t.Fatal("truncated frame decoded")
+	}
+}
+
 func TestSnapshotDecodeRejects(t *testing.T) {
 	src := clusterPipeline(t)
 	ingest(t, 9, 50, src)

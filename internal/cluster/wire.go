@@ -8,7 +8,7 @@
 //   - A versioned, CRC-framed shard-snapshot wire format (Snapshot,
 //     AppendSnapshot, DecodeSnapshotInto): a columnar dump of a
 //     pipeline's support counts, reporter counts, numeric sums, range
-//     accumulators, and (for inspection only) trainer state, headed by
+//     accumulators, and (for checkpoints and inspection) trainer state, headed by
 //     the exporting pipeline's config fingerprint plus an (edge, seq,
 //     boot) delivery header. Mismatched topologies are rejected at the
 //     boundary by the fingerprint; retried deliveries are deduplicated
@@ -98,6 +98,10 @@ const (
 	flagJoint
 	flagRange
 	flagTrainer
+	// flagTrainerRound follows the trainer section with the open round's
+	// accumulator (count, then the gradient sum), which a checkpoint
+	// needs to resume training mid-round.
+	flagTrainerRound
 )
 
 // EncodeSnapshot serializes a snapshot into a self-contained frame.
@@ -149,6 +153,9 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	}
 	if st.Trainer != nil {
 		flags |= flagTrainer
+		if st.Trainer.Sum != nil {
+			flags |= flagTrainerRound
+		}
 	}
 	dst = append(dst, flags)
 
@@ -192,6 +199,14 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(tr.Stale))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tr.Beta)))
 		dst = appendFloats(dst, tr.Beta)
+		if tr.Sum != nil {
+			if len(tr.Sum) > maxDomain || tr.Count < 0 || int64(tr.Count) > math.MaxInt32 {
+				return nil, fmt.Errorf("cluster: malformed trainer round (%d sums, count %d)", len(tr.Sum), tr.Count)
+			}
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(tr.Count))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tr.Sum)))
+			dst = appendFloats(dst, tr.Sum)
+		}
 	}
 
 	payload := dst[payloadStart:]
@@ -489,6 +504,24 @@ func DecodeSnapshotInto(frame []byte, s *Snapshot) error {
 		}
 		if tr.Beta, err = r.floats(int(blen), tr.Beta); err != nil {
 			return err
+		}
+		tr.Sum, tr.Count = nil, 0
+		if flags&flagTrainerRound != 0 {
+			count, err := r.u32()
+			if err != nil {
+				return err
+			}
+			if count > math.MaxInt32 {
+				return fmt.Errorf("cluster: trainer round count %d exceeds limit", count)
+			}
+			tr.Count = int(count)
+			slen, err := r.u32()
+			if err != nil {
+				return err
+			}
+			if tr.Sum, err = r.floats(int(slen), nil); err != nil {
+				return err
+			}
 		}
 	} else {
 		st.Trainer = nil

@@ -250,6 +250,52 @@ func (tr *Trainer) Fill() int {
 	return tr.count
 }
 
+// state copies the trainer's full state under its lock.
+func (tr *Trainer) state() *TrainerState {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	m := tr.model.Load()
+	return &TrainerState{
+		Round:    m.Round,
+		Done:     m.Done,
+		Accepted: tr.accepted.Load(),
+		Stale:    tr.stale.Load(),
+		Beta:     append([]float64(nil), m.Beta...),
+		Sum:      append([]float64(nil), tr.sum...),
+		Count:    tr.count,
+	}
+}
+
+// restore reinstates an exported state after checking it is one this
+// trainer could have reached: shapes match, values are finite, and the
+// counters agree with the round structure (every completed round accepted
+// exactly GroupSize reports, the open one Count).
+func (tr *Trainer) restore(st *TrainerState) error {
+	switch {
+	case len(st.Beta) != tr.dim || len(st.Sum) != tr.dim:
+		return fmt.Errorf("pipeline: trainer state of dimension %d/%d, trainer has %d", len(st.Beta), len(st.Sum), tr.dim)
+	case st.Round < 0 || st.Round > tr.rounds || st.Done != (st.Round == tr.rounds):
+		return fmt.Errorf("pipeline: trainer state at round %d (done=%v) outside a %d-round run", st.Round, st.Done, tr.rounds)
+	case st.Count < 0 || st.Count >= tr.groupSize || (st.Done && st.Count != 0):
+		return fmt.Errorf("pipeline: trainer state with %d reports in the open round (group size %d)", st.Count, tr.groupSize)
+	case st.Stale < 0 || st.Accepted != int64(st.Round)*int64(tr.groupSize)+int64(st.Count):
+		return fmt.Errorf("pipeline: trainer state counters (accepted %d, stale %d) disagree with round %d", st.Accepted, st.Stale, st.Round)
+	}
+	for i := range st.Beta {
+		if math.IsNaN(st.Beta[i]) || math.IsInf(st.Beta[i], 0) || math.IsNaN(st.Sum[i]) || math.IsInf(st.Sum[i], 0) {
+			return fmt.Errorf("pipeline: non-finite trainer state")
+		}
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	copy(tr.sum, st.Sum)
+	tr.count = st.Count
+	tr.accepted.Store(st.Accepted)
+	tr.stale.Store(st.Stale)
+	tr.model.Store(&Model{Round: st.Round, Done: st.Done, Beta: append([]float64(nil), st.Beta...)})
+	return nil
+}
+
 // foldBatch folds every gradient report of a validated batch into the
 // trainer under a single lock acquisition. Reports for stale rounds are
 // dropped; a round that fills mid-batch advances immediately, so the

@@ -19,9 +19,9 @@ import (
 //
 // Slices are indexed by schema attribute; FreqCounts/JointCounts entries
 // are nil for numeric attributes (mirroring the shard layout). Trainer,
-// when present, is a read-only observability snapshot: round-based
-// federated training state has no meaningful union, so MergeState rejects
-// states that carry it.
+// when present, is the federated-SGD coordinator's full state: round-based
+// training state has no meaningful union, so MergeState rejects states
+// that carry it, but RestoreState reinstates it in a fresh pipeline.
 type AggState struct {
 	NMean  int64
 	NFreq  int64
@@ -40,20 +40,24 @@ type AggState struct {
 	// has no range task.
 	Range *rangequery.AccState
 
-	// Trainer is the federated-SGD coordinator snapshot; nil when the
+	// Trainer is the federated-SGD coordinator state; nil when the
 	// pipeline has no gradient task. It never merges.
 	Trainer *TrainerState
 }
 
-// TrainerState is an observability snapshot of the federated SGD
-// coordinator, carried by exported states (and the cluster snapshot wire
-// format) for inspection only.
+// TrainerState is the federated SGD coordinator's state: the published
+// model plus the partially filled round (Sum of the accepted gradient
+// reports, Count of them). StateSnapshot copies it under the trainer
+// lock, so the fields are mutually consistent and RestoreState can
+// resume training mid-round exactly where the snapshot left it.
 type TrainerState struct {
 	Round    int
 	Done     bool
 	Accepted int64
 	Stale    int64
 	Beta     []float64
+	Sum      []float64
+	Count    int
 }
 
 // Total returns the number of shard-folded reports the state carries
@@ -137,14 +141,7 @@ func (p *Pipeline) StateSnapshot() *AggState {
 		st.Range = rangeAcc.ExportState()
 	}
 	if p.trainer != nil {
-		m := p.trainer.Model()
-		st.Trainer = &TrainerState{
-			Round:    m.Round,
-			Done:     m.Done,
-			Accepted: p.trainer.Accepted(),
-			Stale:    p.trainer.Stale(),
-			Beta:     m.Beta,
-		}
+		st.Trainer = p.trainer.state()
 	}
 	return st
 }
@@ -155,11 +152,17 @@ func (p *Pipeline) StateSnapshot() *AggState {
 // anything else means a corrupt or malicious snapshot), numeric sums must
 // be finite, and every per-attribute slice must match the schema exactly.
 func (p *Pipeline) CheckState(st *AggState) error {
+	if st != nil && st.Trainer != nil {
+		return fmt.Errorf("pipeline: merging federated training state is not supported")
+	}
+	return p.checkAggregates(st)
+}
+
+// checkAggregates is CheckState minus the trainer rule: it validates
+// everything but st.Trainer.
+func (p *Pipeline) checkAggregates(st *AggState) error {
 	if st == nil {
 		return fmt.Errorf("pipeline: nil state")
-	}
-	if st.Trainer != nil {
-		return fmt.Errorf("pipeline: merging federated training state is not supported")
 	}
 	if st.NMean < 0 || st.NFreq < 0 || st.NJoint < 0 || st.NRange < 0 {
 		return fmt.Errorf("pipeline: negative report count in state")
@@ -265,7 +268,40 @@ func (p *Pipeline) MergeState(st *AggState) error {
 	if n := uint64(len(p.shards)); n > 1 {
 		idx = p.cursor.Add(1) % n
 	}
-	sh := p.shards[idx]
+	return p.foldState(p.shards[idx], st)
+}
+
+// RestoreState reinstates a state exported by StateSnapshot — trainer
+// included — into a pipeline that has ingested nothing: the restart half
+// of a checkpoint. The aggregates land in the first shard, so every
+// estimate, and every later fold on top of them, equals what the
+// exporting pipeline computes from the same reports; the trainer resumes
+// at the exported round with the partially filled group intact. The
+// state must match this pipeline's configuration (CheckpointFingerprint
+// guards that across processes), and is only read.
+func (p *Pipeline) RestoreState(st *AggState) error {
+	if err := p.checkAggregates(st); err != nil {
+		return err
+	}
+	if p.Watermark() != 0 || (p.trainer != nil && (p.trainer.Accepted() != 0 || p.trainer.Stale() != 0)) {
+		return fmt.Errorf("pipeline: restore into a pipeline that has already ingested reports")
+	}
+	switch {
+	case p.trainer == nil && st.Trainer != nil:
+		return fmt.Errorf("pipeline: state carries federated training state but no gradient task is registered")
+	case p.trainer != nil && st.Trainer == nil:
+		return fmt.Errorf("pipeline: state lacks the federated training state of the registered gradient task")
+	case p.trainer != nil:
+		if err := p.trainer.restore(st.Trainer); err != nil {
+			return err
+		}
+	}
+	return p.foldState(p.shards[0], st)
+}
+
+// foldState adds a validated state's aggregates to one shard and marks
+// what it touched dirty.
+func (p *Pipeline) foldState(sh *shard, st *AggState) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.nMean += st.NMean
@@ -488,6 +524,7 @@ func (st *AggState) Clone() *AggState {
 	if st.Trainer != nil {
 		tr := *st.Trainer
 		tr.Beta = append([]float64(nil), st.Trainer.Beta...)
+		tr.Sum = append([]float64(nil), st.Trainer.Sum...)
 		out.Trainer = &tr
 	}
 	return out
@@ -512,6 +549,23 @@ func cloneCols(c [][]float64, n []int64) ([][]float64, []int64) {
 // before folding them (write-ahead order) uses it to reject a bad batch
 // before the log grows.
 func (p *Pipeline) ValidateBatch(b *ReportBatch) error { return p.validateBatch(b) }
+
+// CheckpointFingerprint extends Fingerprint with the gradient task's
+// configuration: what a pipeline restoring its own full state — trainer
+// included — from a checkpoint must agree on with the pipeline that cut
+// it. A change to the SGD rounds, group size, dimension, learning rate,
+// or mechanism changes it, so a restart under a different training
+// setup refuses the checkpoint instead of resuming the wrong run.
+func (p *Pipeline) CheckpointFingerprint() uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "ldpckpt1|state=%x", p.Fingerprint())
+	if g := p.grad; g != nil {
+		tr := p.trainer
+		fmt.Fprintf(h, "|grad=d%d,r%d,g%d,k%d,eta%x,lambda%x,%s",
+			g.dim, g.rounds, tr.groupSize, g.k, math.Float64bits(tr.eta), math.Float64bits(tr.lambda), g.inner.Name())
+	}
+	return h.Sum64()
+}
 
 // Fingerprint is a stable hash of everything two pipelines must agree on
 // for their aggregate states to mean the same thing: the schema

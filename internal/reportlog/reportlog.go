@@ -8,9 +8,12 @@
 //	[ length uint32 ][ crc32(payload) uint32 ][ payload ... ]
 //
 // Segments are named seg-NNNNNN.log and rotated when they exceed the
-// configured size. Replay stops cleanly at the first torn or corrupt
-// record (the expected state after a crash mid-write); Recover truncates
-// that tail so appends can resume safely.
+// configured size. A Position names a point in the log (segment sequence
+// number plus byte offset); RecoverFrom streams every intact record from
+// a position in one pass and truncates a torn or corrupt tail (the
+// expected state after a crash mid-write) in the same pass, so appends
+// can resume safely. A state checkpoint taken at position P makes the
+// segments wholly below P dead weight; Reclaim deletes them.
 package reportlog
 
 import (
@@ -25,6 +28,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ldp/internal/telemetry"
 )
 
 const (
@@ -32,6 +37,11 @@ const (
 	segPrefix  = "seg-"
 	segSuffix  = ".log"
 )
+
+// ErrClosed is the sticky error of a closed Writer: appends and syncs
+// after Close fail instead of buffering records no commit will ever
+// write.
+var ErrClosed = errors.New("reportlog: writer closed")
 
 // ErrCorruptRecord reports a record whose checksum did not match; it is
 // wrapped in errors returned by Replay when strict verification is on.
@@ -63,6 +73,11 @@ type Writer struct {
 	ferr       error         // sticky background-flush failure
 	stop       chan struct{} // closes the interval flusher
 	done       chan struct{} // flusher exited
+
+	rotated  chan<- struct{}      // signalled (non-blocking) after each rotation
+	appended int64                // framed bytes accepted by Append
+	commitNs *telemetry.Histogram // commit latency (nil: not instrumented)
+	reg      *telemetry.Registry
 }
 
 // Option configures a Writer.
@@ -91,6 +106,57 @@ func WithGroupCommit(interval time.Duration, flushBytes int) Option {
 		w.flushBytes = flushBytes
 		w.interval = interval
 	}
+}
+
+// WithRotateSignal makes the Writer do a non-blocking send on ch after
+// every segment rotation, so a checkpointer can cut state once per
+// segment of growth without polling. Give ch a buffer of one: a signal
+// that finds it full is dropped, which only coalesces rotations the
+// receiver has not yet handled.
+func WithRotateSignal(ch chan<- struct{}) Option {
+	return func(w *Writer) { w.rotated = ch }
+}
+
+// WithTelemetry registers the ldp_wal_* metric families on reg: commit
+// latency, bytes appended, live segments, and the sticky-error gauge.
+// Everything but the commit histogram is read at scrape time; the append
+// path gains one addition under the lock it already holds.
+func WithTelemetry(reg *telemetry.Registry) Option {
+	return func(w *Writer) { w.reg = reg }
+}
+
+// registerMetrics exposes the Writer's state on its registry (a no-op
+// without one).
+func (w *Writer) registerMetrics() {
+	if w.reg == nil {
+		return
+	}
+	w.commitNs = w.reg.Histogram("ldp_wal_commit_duration_ns",
+		"Report log commit latency in nanoseconds: write(2) of the buffered records plus fsync.")
+	w.reg.CounterFunc("ldp_wal_bytes_total",
+		"Framed bytes appended to the report log since start.",
+		func() float64 {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			return float64(w.appended)
+		})
+	w.reg.GaugeFunc("ldp_wal_segments",
+		"Report log segment files on disk.",
+		func() float64 {
+			segs, err := Segments(w.dir)
+			if err != nil {
+				return -1
+			}
+			return float64(len(segs))
+		})
+	w.reg.GaugeFunc("ldp_wal_error",
+		"1 once a report log write or fsync has failed (the Writer refuses appends until restart), else 0.",
+		func() float64 {
+			if w.Healthy() != nil {
+				return 1
+			}
+			return 0
+		})
 }
 
 // Open prepares dir (created if missing) for appending, continuing after
@@ -130,6 +196,7 @@ func Open(dir string, segmentSize int64, opts ...Option) (*Writer, error) {
 		}
 		w.f, w.size = f, st.Size()
 	}
+	w.registerMetrics()
 	if w.interval > 0 {
 		w.stop, w.done = make(chan struct{}), make(chan struct{})
 		go w.flusher()
@@ -167,6 +234,24 @@ func seqOf(name string) int {
 	return seq
 }
 
+// Position locates a record boundary in the log: byte offset Off of
+// segment Seq. The zero Position is the start of the log.
+type Position struct {
+	Seq int
+	Off int64
+}
+
+func (p Position) String() string { return fmt.Sprintf("%s@%d", segName(p.Seq), p.Off) }
+
+// Position returns the position just past the last appended record,
+// buffered records included: every record appended so far lies before
+// it, every later one at or after it.
+func (w *Writer) Position() Position {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return Position{Seq: w.seq, Off: w.size + int64(len(w.buf))}
+}
+
 // Segments lists the log's segment file names in replay order.
 func Segments(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
@@ -199,7 +284,14 @@ func (w *Writer) rotate() error {
 	if err != nil {
 		return fmt.Errorf("reportlog: create segment: %w", err)
 	}
+	grew := w.f != nil
 	w.f, w.size = f, 0
+	if grew && w.rotated != nil {
+		select {
+		case w.rotated <- struct{}{}:
+		default:
+		}
+	}
 	return nil
 }
 
@@ -226,6 +318,7 @@ func (w *Writer) Append(payload []byte) error {
 			return err
 		}
 	}
+	w.appended += int64(headerSize + len(payload))
 	if w.flushBytes > 0 {
 		var hdr [headerSize]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -260,6 +353,12 @@ func (w *Writer) writeLocked(payload []byte) error {
 // whole buffer, one fsync. Without group commit it is a plain fsync (and
 // skipped entirely while nothing new has been written).
 func (w *Writer) commitLocked() error {
+	if len(w.buf) == 0 && !w.dirty && w.flushBytes > 0 {
+		return nil
+	}
+	if w.commitNs != nil {
+		defer w.commitNs.ObserveSince(time.Now())
+	}
 	if len(w.buf) > 0 {
 		n, err := w.f.Write(w.buf)
 		if err != nil {
@@ -273,9 +372,6 @@ func (w *Writer) commitLocked() error {
 		w.size += int64(n)
 		w.buf = w.buf[:0]
 		w.dirty = true
-	}
-	if !w.dirty && w.flushBytes > 0 {
-		return nil
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("reportlog: sync: %w", err)
@@ -306,7 +402,9 @@ func (w *Writer) Sync() error {
 }
 
 // Close commits, syncs, and closes the current segment, stopping the
-// interval flusher if one is running.
+// interval flusher if one is running. Later appends and syncs fail with
+// ErrClosed; Position keeps answering, so a final checkpoint can be cut
+// after the last commit.
 func (w *Writer) Close() error {
 	if w.stop != nil {
 		close(w.stop)
@@ -315,15 +413,17 @@ func (w *Writer) Close() error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.ferr == ErrClosed {
+		return nil
+	}
 	cerr := w.ferr
 	if cerr == nil {
 		cerr = w.commitLocked()
 	}
 	if err := w.f.Close(); cerr == nil {
 		cerr = err
-	} else {
-		w.f.Close()
 	}
+	w.ferr = ErrClosed
 	return cerr
 }
 
@@ -337,6 +437,10 @@ type ReplayStats struct {
 	// Segment and Offset locate the start of the bad tail when Truncated.
 	Segment string
 	Offset  int64
+	// End is the position just past the last intact record delivered
+	// (the start position when none was): where appends resume after
+	// RecoverFrom.
+	End Position
 }
 
 // replayBufSize is the bufio window replay reads segments through: large
@@ -346,88 +450,34 @@ const replayBufSize = 256 << 10
 
 // Replay feeds every intact record in order to fn. It stops without error
 // at the first torn or corrupt record — the normal post-crash state —
-// reporting it in the stats. An error from fn aborts the replay.
+// reporting it in the stats. An error from fn aborts the replay. Replay
+// only reads; RecoverFrom is the restart path.
 //
 // The payload slice is reused between calls: fn must copy anything it
 // keeps past its return (the transport decoders already do — they unpack
 // frames into their own structures).
 func Replay(dir string, fn func(payload []byte) error) (ReplayStats, error) {
-	var stats ReplayStats
-	segs, err := Segments(dir)
-	if err != nil {
-		return stats, err
-	}
-	// One read window and one payload buffer serve the whole replay:
-	// restart time is dominated by decode-and-fold, and this keeps the I/O
-	// side at two large buffers instead of two allocations per record.
-	br := bufio.NewReaderSize(nil, replayBufSize)
-	var payload []byte
-	for _, seg := range segs {
-		ok, err := replaySegment(dir, seg, br, &payload, fn, &stats)
-		if err != nil {
-			return stats, err
-		}
-		if !ok {
-			return stats, nil // truncated: stop at the bad tail
-		}
-	}
-	return stats, nil
+	return scan(dir, Position{}, fn)
 }
 
-func replaySegment(dir, seg string, br *bufio.Reader, payload *[]byte, fn func([]byte) error, stats *ReplayStats) (bool, error) {
-	f, err := os.Open(filepath.Join(dir, seg))
-	if err != nil {
-		return false, fmt.Errorf("reportlog: open %s: %w", seg, err)
+// RecoverFrom is the single-pass restart path: it feeds every intact
+// record at or after from to fn (nil: just scan), then truncates any torn
+// or corrupt tail and removes the segments after it, so appending can
+// resume on a clean prefix. Segments below from.Seq are never opened —
+// a checkpoint covering them makes them dead weight (see Reclaim). A
+// log that ends before from (its segment missing, or shorter than
+// from.Off) is an error: the records the checkpoint says precede the
+// tail are gone, so appending there would misplace every later record.
+// So is recovering from the zero Position a log whose first segments
+// were reclaimed: the records they held are only in a checkpoint.
+// fn's payload slice is reused between calls, as in Replay.
+func RecoverFrom(dir string, from Position, fn func(payload []byte) error) (ReplayStats, error) {
+	if fn == nil {
+		fn = func([]byte) error { return nil }
 	}
-	defer f.Close()
-	br.Reset(f)
-	var offset int64
-	var hdr [headerSize]byte
-	for {
-		_, err := io.ReadFull(br, hdr[:])
-		if err == io.EOF {
-			return true, nil
-		}
-		if err != nil { // torn header
-			stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
-			return false, nil
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > MaxRecordSize {
-			stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
-			return false, nil
-		}
-		if int(length) > cap(*payload) {
-			*payload = make([]byte, length)
-		}
-		p := (*payload)[:length]
-		if _, err := io.ReadFull(br, p); err != nil { // torn payload
-			stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
-			return false, nil
-		}
-		if crc32.ChecksumIEEE(p) != sum {
-			stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
-			return false, nil
-		}
-		if err := fn(p); err != nil {
-			return false, err
-		}
-		stats.Records++
-		offset += int64(headerSize) + int64(length)
-	}
-}
-
-// Recover scans the log and truncates any torn or corrupt tail (and removes
-// any later segments) so that appending can resume on a clean prefix. It
-// returns the replay stats of the intact prefix.
-func Recover(dir string) (ReplayStats, error) {
-	stats, err := Replay(dir, func([]byte) error { return nil })
-	if err != nil {
+	stats, err := scan(dir, from, fn)
+	if err != nil || !stats.Truncated {
 		return stats, err
-	}
-	if !stats.Truncated {
-		return stats, nil
 	}
 	if err := os.Truncate(filepath.Join(dir, stats.Segment), stats.Offset); err != nil {
 		return stats, fmt.Errorf("reportlog: truncate %s: %w", stats.Segment, err)
@@ -445,4 +495,137 @@ func Recover(dir string) (ReplayStats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// Recover is RecoverFrom the start of the log with no consumer: it
+// truncates a torn tail and returns the stats of the intact prefix.
+func Recover(dir string) (ReplayStats, error) { return RecoverFrom(dir, Position{}, nil) }
+
+// scan streams the intact records at or after from to fn, stopping at
+// the first torn or corrupt one.
+func scan(dir string, from Position, fn func(payload []byte) error) (ReplayStats, error) {
+	stats := ReplayStats{End: from}
+	segs, err := Segments(dir)
+	if err != nil {
+		return stats, err
+	}
+	for len(segs) > 0 && seqOf(segs[0]) < from.Seq {
+		segs = segs[1:]
+	}
+	switch {
+	case from == (Position{}):
+		// The Writer numbers segments from 1 and only Reclaim deletes
+		// them: a log starting later lost its head to a checkpoint.
+		if len(segs) > 0 && seqOf(segs[0]) != 1 {
+			return stats, fmt.Errorf("reportlog: log starts at %s; the segments before it were reclaimed under a checkpoint", segs[0])
+		}
+	case len(segs) == 0 || seqOf(segs[0]) != from.Seq:
+		return stats, fmt.Errorf("reportlog: segment %s of start position %v is missing", segName(from.Seq), from)
+	}
+	// One read window and one payload buffer serve the whole replay:
+	// restart time is dominated by decode-and-fold, and this keeps the I/O
+	// side at two large buffers instead of two allocations per record.
+	br := bufio.NewReaderSize(nil, replayBufSize)
+	var payload []byte
+	for i, seg := range segs {
+		var off int64
+		if i == 0 {
+			off = from.Off
+		}
+		ok, err := scanSegment(dir, seg, off, br, &payload, fn, &stats)
+		if err != nil {
+			return stats, err
+		}
+		if !ok {
+			return stats, nil // truncated: stop at the bad tail
+		}
+	}
+	return stats, nil
+}
+
+// scanSegment streams one segment's records from byte offset start. It
+// returns false when it stopped at a torn or corrupt record.
+func scanSegment(dir, seg string, start int64, br *bufio.Reader, payload *[]byte, fn func([]byte) error, stats *ReplayStats) (bool, error) {
+	f, err := os.Open(filepath.Join(dir, seg))
+	if err != nil {
+		return false, fmt.Errorf("reportlog: open %s: %w", seg, err)
+	}
+	defer f.Close()
+	if start > 0 {
+		st, err := f.Stat()
+		if err != nil {
+			return false, fmt.Errorf("reportlog: stat %s: %w", seg, err)
+		}
+		if st.Size() < start {
+			return false, fmt.Errorf("reportlog: segment %s holds %d bytes, start position is at %d", seg, st.Size(), start)
+		}
+		if _, err := f.Seek(start, io.SeekStart); err != nil {
+			return false, fmt.Errorf("reportlog: seek %s: %w", seg, err)
+		}
+	}
+	br.Reset(f)
+	offset := start
+	stats.End = Position{Seq: seqOf(seg), Off: offset}
+	torn := func() (bool, error) {
+		stats.Truncated, stats.Segment, stats.Offset = true, seg, offset
+		return false, nil
+	}
+	var hdr [headerSize]byte
+	for {
+		_, err := io.ReadFull(br, hdr[:])
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil { // torn header
+			return torn()
+		}
+		length := binary.LittleEndian.Uint32(hdr[0:4])
+		sum := binary.LittleEndian.Uint32(hdr[4:8])
+		if length > MaxRecordSize {
+			return torn()
+		}
+		if int(length) > cap(*payload) {
+			*payload = make([]byte, length)
+		}
+		p := (*payload)[:length]
+		if _, err := io.ReadFull(br, p); err != nil { // torn payload
+			return torn()
+		}
+		if crc32.ChecksumIEEE(p) != sum {
+			return torn()
+		}
+		if err := fn(p); err != nil {
+			return false, err
+		}
+		stats.Records++
+		offset += int64(headerSize) + int64(length)
+		stats.End.Off = offset
+	}
+}
+
+// Reclaim deletes the segments wholly below pos — every segment with a
+// sequence number under pos.Seq — once a durable checkpoint covers them,
+// returning how many it removed. remove deletes one path (nil:
+// os.Remove); a failure stops the sweep, and the segments left behind
+// are harmless: RecoverFrom never opens segments below its start, and
+// the next Reclaim retries them.
+func Reclaim(dir string, pos Position, remove func(path string) error) (int, error) {
+	if remove == nil {
+		remove = os.Remove
+	}
+	segs, err := Segments(dir)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, seg := range segs {
+		if seqOf(seg) >= pos.Seq {
+			break
+		}
+		if err := remove(filepath.Join(dir, seg)); err != nil {
+			return n, fmt.Errorf("reportlog: reclaim %s: %w", seg, err)
+		}
+		n++
+	}
+	return n, nil
 }

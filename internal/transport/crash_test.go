@@ -88,13 +88,11 @@ func TestEdgeCrashRecoveryRepush(t *testing.T) {
 	edgeSrv.Close()
 
 	// Restart: recover the log (repairing any torn tail) and replay it
-	// into a fresh pipeline, exactly as cmd/ldpserver does on boot.
-	if _, err := reportlog.Recover(walDir); err != nil {
-		t.Fatal(err)
-	}
+	// into a fresh pipeline in one pass, as cmd/ldpserver does on boot
+	// when no checkpoint exists.
 	edge2 := newTestPipeline(t)
 	n, err := ReplayPipeline(edge2, func(fn func([]byte) error) error {
-		_, err := reportlog.Replay(walDir, fn)
+		_, err := reportlog.RecoverFrom(walDir, reportlog.Position{}, fn)
 		return err
 	})
 	if err != nil {

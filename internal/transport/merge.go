@@ -128,6 +128,11 @@ func (s *PipelineServer) handleMergePost(w http.ResponseWriter, r *http.Request)
 	}
 	applied := false
 	if snap.Seq > rec.seq {
+		// Latch Merged before the fold (see Merged), but only for a state
+		// that will fold: a rejected push must not stop checkpointing.
+		if s.p.CheckState(snap.State) == nil {
+			s.merged.Store(true)
+		}
 		if err := s.p.MergeState(snap.State); err != nil {
 			m.mu.Unlock()
 			s.met.mergeRejected.Inc()

@@ -86,6 +86,13 @@ type PipelineServer struct {
 	mu   sync.Mutex
 	sink Sink
 
+	// cutMu orders report persistence against checkpoint cuts: every
+	// report request holds it shared from its first WAL append until its
+	// fold completes, and Cut holds it exclusively. merged latches once a
+	// /v1/merge has folded edge state the WAL does not hold.
+	cutMu  sync.RWMutex
+	merged atomic.Bool
+
 	// reg/log/met are the observability hooks (see ServerOption): nil
 	// registry and logger by default, with nil-safe no-op metric handles,
 	// so the uninstrumented server pays nothing.
@@ -183,6 +190,10 @@ func NewPipelineServer(p *pipeline.Pipeline, sink Sink, opts ...ServerOption) *P
 		opt(s)
 	}
 	s.met = newServerMetrics(s.reg)
+	if sink != nil {
+		s.met.walAppend = s.reg.Histogram("ldp_wal_append_duration_ns",
+			"Time a report request spends appending its frames to the report log, mutex wait included, in nanoseconds.")
+	}
 	s.mux.HandleFunc("POST /v1/report", s.admit(s.met.shedReport, s.handleReport))
 	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -207,6 +218,26 @@ func (s *PipelineServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.m
 
 // Pipeline exposes the underlying pipeline (for replay after restart).
 func (s *PipelineServer) Pipeline() *pipeline.Pipeline { return s.p }
+
+// Cut runs fn at a consistent cut between persistence and aggregation:
+// no report request is between its first sink append and the end of its
+// fold while fn runs, and none can start one. Every report the sink has
+// accepted is then folded, and nothing folded is missing from the sink,
+// so a sink position and a pipeline state read inside fn describe the
+// same set of reports — a checkpoint. Ingest stalls for fn's duration;
+// keep it to reading the position and StateSnapshot.
+func (s *PipelineServer) Cut(fn func()) {
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	fn()
+}
+
+// Merged reports whether a /v1/merge has folded edge state into this
+// pipeline. That state is not in the report log, so a checkpoint cut
+// after it would hold reports a log replay cannot account for; the flag
+// is raised before the merge folds, so a cut that reads it false after
+// its StateSnapshot holds no merged state.
+func (s *PipelineServer) Merged() bool { return s.merged.Load() }
 
 // fail writes an error response and returns its status code, so error
 // exits read `status = s.fail(...)` and the telemetry epilogue sees the
@@ -262,6 +293,13 @@ func (s *PipelineServer) handleReport(w http.ResponseWriter, r *http.Request) {
 	if s.sink != nil {
 		// Persist the validated raw frames, re-slicing the body by frame
 		// length (DecodeBatch already proved every header well-formed).
+		// The shared cut lock spans persist and fold (see Cut).
+		s.cutMu.RLock()
+		defer s.cutMu.RUnlock()
+		var start time.Time
+		if s.met.walAppend != nil {
+			start = time.Now()
+		}
 		s.mu.Lock()
 		for off := 0; off < len(body); {
 			n, err := FrameLen(body[off:])
@@ -276,6 +314,9 @@ func (s *PipelineServer) handleReport(w http.ResponseWriter, r *http.Request) {
 			off += n
 		}
 		s.mu.Unlock()
+		if s.met.walAppend != nil {
+			s.met.walAppend.ObserveSince(start)
+		}
 	}
 	s.p.AddBatchValidated(b)
 	s.met.frames.Add(uint64(frames))

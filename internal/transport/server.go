@@ -39,7 +39,6 @@ func NewServer(agg *core.Aggregator, sink Sink) *Server {
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/means", s.handleMeans)
 	s.mux.HandleFunc("GET /v1/freqs", s.handleFreqs)
-	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
 	return s
 }
 
@@ -117,16 +116,6 @@ func (s *Server) handleFreqs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, freqs)
-}
-
-// handleSnapshot serves the aggregator's serialized sufficient statistics
-// (see core.Aggregator.Snapshot); a fresh aggregator restored from it
-// answers queries identically without replaying the report log.
-func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := w.Write(s.agg.Snapshot()); err != nil {
-		_ = err // connection gone; nothing to do
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -49,6 +49,10 @@ type serverMetrics struct {
 	bytesIn *telemetry.Counter // request body bytes read on /v1/report
 	frames  *telemetry.Counter // report frames accepted into the pipeline
 
+	// walAppend times each report request's persist step (servers with a
+	// sink only).
+	walAppend *telemetry.Histogram
+
 	// Decode-error taxonomy of POST /v1/report: where in the wire-to-fold
 	// path a body was thrown away.
 	decRead     *telemetry.Counter // body read failed mid-stream

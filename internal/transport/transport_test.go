@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -302,40 +301,6 @@ func TestServerPersistsAndReplays(t *testing.T) {
 	}
 	if m1 != m2 {
 		t.Errorf("replayed mean %v != original %v", m2, m1)
-	}
-}
-
-func TestServerSnapshotEndpoint(t *testing.T) {
-	col, reps := sampleReports(t, oueFactory, 100)
-	agg := core.NewAggregator(col)
-	srv := httptest.NewServer(NewServer(agg, nil))
-	defer srv.Close()
-	client := NewClient(srv.URL, col, srv.Client())
-	for _, rep := range reps {
-		if err := client.SendReport(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := http.Get(srv.URL + "/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	snap, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := core.NewAggregator(col)
-	if err := fresh.LoadSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.N() != 100 {
-		t.Errorf("restored N = %d, want 100", fresh.N())
-	}
-	m1, _ := agg.MeanEstimate(0)
-	m2, _ := fresh.MeanEstimate(0)
-	if m1 != m2 {
-		t.Errorf("snapshot-restored mean %v != live %v", m2, m1)
 	}
 }
 

@@ -2,11 +2,14 @@
 # Chaos smoke test against the real binaries: 1 root + 2 edges whose push
 # paths run under deterministic fault injection (-push-chaos: drops,
 # blackholed responses, 503s, latency, truncated bodies), group-committed
-# WALs on both edges, and a SIGTERM + restart of one edge mid-run. A
-# single node ingests the same two populations directly. Despite the
-# chaos and the restart, the root must converge to exactly the same
-# report count as the single node and to matching estimates — and the
-# SIGTERM'd edge must exit cleanly (drain, final push, WAL commit).
+# WALs on both edges, a SIGTERM + restart of one edge and a SIGKILL +
+# restart of the other mid-run. A single node ingests the same two
+# populations directly. Despite the chaos and the restarts, the root must
+# converge to exactly the same report count as the single node and to
+# matching estimates — the SIGTERM'd edge must exit cleanly (drain, final
+# push, WAL commit, final checkpoint) and restart replaying no log
+# records, and the SIGKILL'd edge must recover its acked reports from
+# the log.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,10 +43,14 @@ start_edge1() {
 	pids+=($edge1_pid)
 }
 start_edge1
-"$tmp/ldpserver" -addr "$EDGE2" -mode edge -edge-id edge-2 -push-to "http://$ROOT" \
-	-push-interval 200ms -push-chaos "$CHAOS" \
-	-logdir "$tmp/wal2" -log-sync 50ms -drain 5s "${COMMON[@]}" &
-pids+=($!)
+start_edge2() {
+	"$tmp/ldpserver" -addr "$EDGE2" -mode edge -edge-id edge-2 -push-to "http://$ROOT" \
+		-push-interval 200ms -push-chaos "$CHAOS" \
+		-logdir "$tmp/wal2" -log-sync 50ms -drain 5s "${COMMON[@]}" &
+	edge2_pid=$!
+	pids+=($edge2_pid)
+}
+start_edge2
 "$tmp/ldpserver" -addr "$SINGLE" "${COMMON[@]}" &
 pids+=($!)
 
@@ -79,6 +86,31 @@ fi
 echo "chaos smoke: edge 1 exited cleanly on SIGTERM"
 start_edge1
 wait_ready "$EDGE1"
+# The clean exit cut a checkpoint at the end of edge 1's log: the restart
+# restored every report and replayed nothing.
+replayed=$(curl -s "http://$EDGE1/metrics" | awk '$1=="ldp_wal_replayed_records" {print $2}')
+restored=$(curl -s "http://$EDGE1/metrics" | awk '$1=="ldp_checkpoint_restored_reports" {print $2}')
+if [ "$replayed" != "0" ] || [ "$restored" != "$N" ]; then
+	echo "edge 1 restart restored $restored reports and replayed $replayed log records, want $N and 0" >&2
+	exit 1
+fi
+echo "chaos smoke: edge 1 restarted from its checkpoint, replaying no log records"
+
+# SIGKILL edge 2 once its group commit has flushed (50ms): no drain, no
+# final push, no final checkpoint. The restart recovers every acked
+# report from the log and the forwarder resyncs with the root, so the
+# root still never double-counts.
+sleep 0.5
+kill -KILL "$edge2_pid"
+wait "$edge2_pid" 2>/dev/null || true
+start_edge2
+wait_ready "$EDGE2"
+edge2_n=$(curl -s "http://$EDGE2/v1/stats" | jq .n)
+if [ "$edge2_n" != "$N" ]; then
+	echo "edge 2 recovered n=$edge2_n after SIGKILL, want $N" >&2
+	exit 1
+fi
+echo "chaos smoke: edge 2 recovered all $N acked reports after SIGKILL"
 
 # Wait for both edges' pushes to land despite the injected faults.
 want=$((2 * N))
@@ -132,4 +164,4 @@ for series in ldp_breaker_state ldp_draining ldp_http_shed_total; do
 	fi
 done
 
-echo "chaos smoke: OK (root merged $want reports exactly under fault injection + edge restart)"
+echo "chaos smoke: OK (root merged $want reports exactly under fault injection + SIGTERM and SIGKILL edge restarts)"
