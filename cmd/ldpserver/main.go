@@ -16,9 +16,14 @@
 // -push-to, identified by -edge-id (exactly-once, survives both edge and
 // root restarts; the edge keeps answering its own /v1/query locally).
 // Every server runs the same report/query routes regardless of mode.
-// With -logdir, -log-sync switches the report log to group commit: one
-// fsync per interval (or per -log-sync-bytes buffered bytes) instead of
-// unsynced per-record writes.
+// With -logdir, every accepted request body is one report log record.
+// -log-sync switches the log to group commit: records are buffered, the
+// request that finds the -log-sync-bytes buffer full writes it with one
+// write(2), and a background flusher fsyncs what was written — at least
+// once per -log-sync interval — so no request waits for an fsync. A
+// crash loses at most the interval plus one in-flight fsync of
+// acknowledged reports; without -log-sync every record is written
+// through unsynced.
 //
 // The schema (and the privacy budget, which fixes the randomizer debiasing
 // parameters) must match what the clients use.
@@ -180,7 +185,7 @@ func run(args []string) error {
 		pushIvl   = fs.Duration("push-interval", 5*time.Second, "edge mode: fan-in push cadence")
 		edgeID    = fs.String("edge-id", "", "edge mode: stable edge identifier (default: the listen address)")
 		logSync   = fs.Duration("log-sync", 0, "group-commit the report log: fsync on this interval instead of buffering unsynced (0 = legacy unbuffered writes)")
-		logSyncB  = fs.Int("log-sync-bytes", 256<<10, "group-commit byte threshold: commit early once this many buffered bytes accumulate")
+		logSyncB  = fs.Int("log-sync-bytes", 256<<10, "group-commit buffer size: a request whose body does not fit in what is left writes the buffer out (no fsync) and wakes the background fsync")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful shutdown: how long SIGINT/SIGTERM waits for in-flight requests before closing connections")
 		maxInFl   = fs.Int("max-inflight", 256, "admission control: mutating requests decoded concurrently; beyond it requests are shed with 429 (0 = default 256, negative = no limiter)")
 		reqTmo    = fs.Duration("request-timeout", 30*time.Second, "admission control: per-request deadline for admitted mutating requests (0 = unbounded)")
@@ -257,6 +262,8 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		// replayed_records counts report frames, not log records (a
+		// record holds a whole request body); the key name is kept.
 		logger.Info("recovered report log", "dir", *logdir, "checkpoint", recovered.Loaded,
 			"restored_reports", recovered.Restored, "replayed_records", recovered.Replayed,
 			"torn_tail", recovered.Log.Truncated)

@@ -130,7 +130,8 @@ type Recovery struct {
 	Bytes int
 	// Written is the checkpoint file's modification time.
 	Written time.Time
-	// Replayed counts the log records replayed after Pos.
+	// Replayed counts the report frames replayed after Pos — reports, not
+	// log records: a record holds a whole request body.
 	Replayed int
 	// Log is the log recovery's stats; Log.End is where appends resume.
 	Log reportlog.ReplayStats

@@ -315,13 +315,13 @@ func TestConsistentCutUnderConcurrentIngest(t *testing.T) {
 	if n.p.N() != clients*batches*size {
 		t.Fatalf("live n %d, want %d", n.p.N(), clients*batches*size)
 	}
-	records := tailRecords(t, dir, reportlog.Position{})
+	frames := tailFrames(t, dir, reportlog.Position{})
 	for i, b := range saved {
 		pos, snap, err := checkpoint.Decode(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if before := int64(records - tailRecords(t, dir, pos)); snap.State.Total() != before {
+		if before := int64(frames - tailFrames(t, dir, pos)); snap.State.Total() != before {
 			t.Fatalf("checkpoint %d at %v holds %d reports, the log holds %d before it", i, pos, snap.State.Total(), before)
 		}
 
@@ -346,11 +346,16 @@ func TestConsistentCutUnderConcurrentIngest(t *testing.T) {
 	}
 }
 
-// tailRecords counts the log records at or after pos.
-func tailRecords(t *testing.T, dir string, pos reportlog.Position) int {
+// tailFrames counts the report frames in the log records at or after
+// pos (a record holds one request body: one or more frames).
+func tailFrames(t *testing.T, dir string, pos reportlog.Position) int {
 	t.Helper()
 	n := 0
-	if _, err := reportlog.RecoverFrom(dir, pos, func([]byte) error { n++; return nil }); err != nil {
+	if _, err := reportlog.RecoverFrom(dir, pos, func(rec []byte) error {
+		frames, err := transport.SplitFrames(rec)
+		n += len(frames)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return n
@@ -370,7 +375,7 @@ func copyFile(t *testing.T, from, to string) {
 // TestRestartCostStaysFlatAsHistoryGrows is the count-based restart
 // bound, with no timing: at 4 KiB segments and a checkpoint per segment
 // of growth, growing the history 10x leaves a clean restart replaying 0
-// records, a crash restart replaying exactly the records since the last
+// reports, a crash restart replaying exactly the reports since the last
 // checkpoint — never more than a segment's worth plus a batch — and only
 // the segments from the checkpoint's onward on disk.
 func TestRestartCostStaysFlatAsHistoryGrows(t *testing.T) {
@@ -379,8 +384,17 @@ func TestRestartCostStaysFlatAsHistoryGrows(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			dir := t.TempDir()
 			n := openNode(t, dir, segSize, nil)
+			minFrame := transport.MaxFrameSize
 			for k := 0; k < history; k++ {
-				n.post(reports(t, n.p, 3, batch*k, batch))
+				reps := reports(t, n.p, 3, batch*k, batch)
+				for _, rep := range reps {
+					frame, err := transport.AppendEnvelope(nil, rep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					minFrame = min(minFrame, len(frame))
+				}
+				n.post(reps)
 				n.checkpointIfRotated()
 			}
 			total := n.p.N()
@@ -392,7 +406,9 @@ func TestRestartCostStaysFlatAsHistoryGrows(t *testing.T) {
 			if n.p.N() != total {
 				t.Fatalf("crash restart restored n=%d, want %d", n.p.N(), total)
 			}
-			bound := segSize/44 + batch // a 4 KiB segment holds under segSize/44 records
+			// A segment rotates once it holds segSize bytes, so its frames
+			// fill less than segSize plus one batch record.
+			bound := segSize/minFrame + batch
 			if n.rec.Pos != last || int64(n.rec.Replayed) != total-n.rec.Restored || n.rec.Replayed > bound {
 				t.Fatalf("crash restart: checkpoint %v (last cut %v), restored %d, replayed %d; want replayed <= %d",
 					n.rec.Pos, last, n.rec.Restored, n.rec.Replayed, bound)
@@ -417,6 +433,101 @@ func TestRestartCostStaysFlatAsHistoryGrows(t *testing.T) {
 }
 
 func segName(seq int) string { return fmt.Sprintf("seg-%06d.log", seq) }
+
+// TestTornBatchRecordReplaysNoneOfIt: the server persists each request
+// body as one record, so a crash that tears the last record — even
+// exactly at a frame boundary inside it — loses that whole batch and
+// never replays a prefix of it.
+func TestTornBatchRecordReplaysNoneOfIt(t *testing.T) {
+	dir := t.TempDir()
+	n := openNode(t, dir, 64<<20, nil)
+	first, second := reports(t, n.p, 7, 0, 10), reports(t, n.p, 7, 10, 10)
+	n.post(first)
+	n.post(second)
+	n.crash()
+
+	last, err := transport.AppendEnvelope(nil, second[len(second)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segName(1))
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the batch's last frame: nine whole frames of it stay on disk.
+	if err := os.Truncate(seg, fi.Size()-int64(len(last))); err != nil {
+		t.Fatal(err)
+	}
+	n = openNode(t, dir, 64<<20, nil)
+	if n.p.N() != 10 || n.rec.Replayed != 10 || !n.rec.Log.Truncated {
+		t.Fatalf("restart after a torn batch: n=%d, replayed %d, truncated %v; want the first batch alone", n.p.N(), n.rec.Replayed, n.rec.Log.Truncated)
+	}
+	// Appends resume on the clean prefix.
+	n.post(second)
+	n.crash()
+	n = openNode(t, dir, 64<<20, nil)
+	if n.p.N() != 20 || n.rec.Log.Truncated {
+		t.Fatalf("restart after the retry: n=%d, truncated %v; want 20 and a clean log", n.p.N(), n.rec.Log.Truncated)
+	}
+	n.crash()
+}
+
+// TestPerFrameLogReplaysToSameState: logs written before the server
+// persisted whole bodies hold one frame per record. They must recover to
+// the state the same reports reach from a one-record-per-body log.
+func TestPerFrameLogReplaysToSameState(t *testing.T) {
+	const batches, size = 24, 128 // 1024 divides into whole batches: replay chunks align
+	newDir, oldDir := t.TempDir(), t.TempDir()
+	n := openNode(t, newDir, 64<<20, nil)
+	old, err := reportlog.Open(oldDir, 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < batches; k++ {
+		reps := reports(t, n.p, 11, k*size, size)
+		n.post(reps)
+		for _, rep := range reps {
+			frame, err := transport.AppendEnvelope(nil, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Append(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := n.p.TaskCounts()
+	n.crash()
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	state := func(dir string, records int) []byte {
+		t.Helper()
+		p := newPipeline(t)
+		rec, err := checkpoint.Recover(dir, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Replayed != batches*size || rec.Log.Records != records || rec.Log.Truncated {
+			t.Fatalf("%s: replayed %d reports in %d records (truncated %v), want %d in %d", dir, rec.Replayed, rec.Log.Records, rec.Log.Truncated, batches*size, records)
+		}
+		for k, c := range live {
+			if got := p.TaskCounts()[k]; got != c {
+				t.Fatalf("%s: %v count %d, live %d", dir, k, got, c)
+			}
+		}
+		b, err := checkpoint.AppendEncode(nil, reportlog.Position{}, p.CheckpointFingerprint(), p.StateSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(state(oldDir, batches*size), state(newDir, batches)) {
+		t.Fatal("per-frame and per-body logs of the same reports recover to different states")
+	}
+}
 
 // TestFingerprintMismatchRefusesStart restarts a log under a different
 // configuration: startup fails with an error naming the checkpoint file

@@ -168,7 +168,7 @@ func (c *Checkpointer) register(reg *telemetry.Registry) {
 		"Reports restored from the checkpoint at startup.",
 		func() float64 { return float64(restored) })
 	reg.GaugeFunc("ldp_wal_replayed_records",
-		"Report log records replayed at startup on top of the restored checkpoint.",
+		"Reports (frames, not log records) replayed from the report log at startup on top of the restored checkpoint.",
 		func() float64 { return float64(replayed) })
 }
 

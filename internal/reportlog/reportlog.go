@@ -14,6 +14,14 @@
 // expected state after a crash mid-write) in the same pass, so appends
 // can resume safely. A state checkpoint taken at position P makes the
 // segments wholly below P dead weight; Reclaim deletes them.
+//
+// A record is the unit of atomicity: replay yields all of it or, past a
+// torn tail, none of it. The aggregator appends each accepted request
+// body — a run of report frames — as one record. Under group commit
+// (WithGroupCommit) no Append waits for an fsync: appenders only copy
+// into a buffer and, when it fills, into the page cache, and a
+// background flusher makes the log durable. Any write or fsync failure
+// is sticky: the Writer refuses appends from then on (see Healthy).
 package reportlog
 
 import (
@@ -52,10 +60,16 @@ var ErrCorruptRecord = errors.New("reportlog: corrupt record")
 const MaxRecordSize = 16 << 20
 
 // Writer appends records to the newest segment of a log directory.
-// Appends are internally serialized, so concurrent use is safe; callers
-// that need multi-record atomicity (one HTTP batch = several records)
-// still guard externally, as the transport server does.
+// Appends are internally serialized, so concurrent use is safe, and a
+// record is the unit of atomicity: a caller that needs several payloads
+// to land or vanish together (one HTTP batch of report frames) appends
+// them as one record.
 type Writer struct {
+	// smu serializes commits — the flusher, Sync and Close — so at most
+	// one fsync is in flight; it is always taken before mu and never by
+	// Append. mu guards everything below; under group commit no fsync
+	// runs while it is held.
+	smu         sync.Mutex
 	mu          sync.Mutex
 	dir         string
 	segmentSize int64
@@ -63,15 +77,23 @@ type Writer struct {
 	seq         int
 	size        int64 // bytes already written to the current segment
 
-	// Group-commit state (zero when disabled): records accumulate in buf
-	// and reach the file — followed by one fsync — when buf crosses
-	// flushBytes, when the interval flusher fires, or on Sync/Close.
+	// Group-commit state (zero when disabled): records accumulate in buf,
+	// which never grows past flushBytes. An Append whose record does not
+	// fit write(2)s it — a page-cache copy — and wakes the flusher, which
+	// fsyncs outside mu; the interval tick, Sync and Close commit too.
+	// wgen counts writes and synced is the count the last successful
+	// fsync covered, so a write that races an fsync keeps the log dirty.
+	// retired holds segments rotated out but not yet fsynced; the next
+	// commit fsyncs and closes them.
 	buf        []byte
 	flushBytes int
 	interval   time.Duration
-	dirty      bool          // file has writes not yet fsynced
-	ferr       error         // sticky background-flush failure
-	stop       chan struct{} // closes the interval flusher
+	wgen       uint64
+	synced     uint64
+	retired    []*os.File
+	ferr       error         // sticky write/fsync failure (ErrClosed after Close)
+	kick       chan struct{} // 1-slot flusher wake-up: a threshold write or a rotation
+	stop       chan struct{} // closes the flusher
 	done       chan struct{} // flusher exited
 
 	rotated  chan<- struct{}      // signalled (non-blocking) after each rotation
@@ -83,15 +105,18 @@ type Writer struct {
 // Option configures a Writer.
 type Option func(*Writer)
 
-// WithGroupCommit batches appends in memory and commits them — one
-// write(2) plus one fsync — when flushBytes have accumulated or the
-// interval elapses, whichever comes first. This replaces per-record
-// write(2) calls (and the per-request Sync a durability-conscious caller
-// would otherwise need) with two syscalls per group: the classic WAL
-// group-commit trade of a bounded durability window (at most interval)
+// WithGroupCommit batches appends in memory and makes them durable in
+// groups. An Append whose record would push the buffer past flushBytes
+// writes it to the segment (one write(2), a page-cache copy) and wakes a
+// background flusher; the flusher fsyncs outside the append lock, and
+// also commits every interval. No Append waits for an fsync, and at most
+// one fsync is in flight. This replaces per-record write(2) calls (and the
+// per-request Sync a durability-conscious caller would otherwise need)
+// with a few syscalls per group: the classic WAL group-commit trade of a
+// bounded durability window — at most interval plus one in-flight fsync —
 // for an order-of-magnitude cheaper append path. Sync still forces an
 // immediate commit, so callers with a stronger requirement (the cluster
-// forwarder before a push) keep their guarantee.
+// forwarder before a push, a checkpoint) keep their guarantee.
 //
 // A non-positive flushBytes defaults to 256 KiB; a non-positive interval
 // defaults to 100ms.
@@ -132,7 +157,7 @@ func (w *Writer) registerMetrics() {
 		return
 	}
 	w.commitNs = w.reg.Histogram("ldp_wal_commit_duration_ns",
-		"Report log commit latency in nanoseconds: write(2) of the buffered records plus fsync.")
+		"Report log commit latency in nanoseconds: the fsync of what was written since the last commit, run by the flusher, Sync or Close, never by an append.")
 	w.reg.CounterFunc("ldp_wal_bytes_total",
 		"Framed bytes appended to the report log since start.",
 		func() float64 {
@@ -198,14 +223,21 @@ func Open(dir string, segmentSize int64, opts ...Option) (*Writer, error) {
 	}
 	w.registerMetrics()
 	if w.interval > 0 {
+		// The buffer fills to nearly flushBytes before each write, so
+		// sizing it up front costs no memory the steady state would not.
+		w.buf = make([]byte, 0, w.flushBytes)
+		w.kick = make(chan struct{}, 1)
 		w.stop, w.done = make(chan struct{}), make(chan struct{})
 		go w.flusher()
 	}
 	return w, nil
 }
 
-// flusher is the interval half of group commit: it bounds how long a
-// buffered (or written-but-unsynced) record can stay volatile.
+// flusher is the committing half of group commit: it fsyncs what the
+// appenders wrote (woken by an Append that crossed flushBytes or by a
+// rotation) and bounds how long a buffered or written-but-unsynced record
+// stays volatile (the interval tick). A failure latches in ferr, so the
+// next Append refuses and Healthy reports it.
 func (w *Writer) flusher() {
 	defer close(w.done)
 	t := time.NewTicker(w.interval)
@@ -215,14 +247,18 @@ func (w *Writer) flusher() {
 		case <-w.stop:
 			return
 		case <-t.C:
-			w.mu.Lock()
-			if err := w.commitLocked(); err != nil && w.ferr == nil {
-				// Surface the failure on the next Append/Sync instead of
-				// losing records silently.
-				w.ferr = err
-			}
-			w.mu.Unlock()
+		case <-w.kick:
 		}
+		_ = w.Sync() // a failure latches: Append refuses, Healthy reports it
+	}
+}
+
+// wake asks the flusher for a commit without waiting for it; a wake-up
+// that finds one already pending is coalesced with it.
+func (w *Writer) wake() {
+	select {
+	case w.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -273,8 +309,19 @@ func Segments(dir string) ([]string, error) {
 	return segs, nil
 }
 
+// rotate starts the next segment. Under group commit the old segment,
+// whose buffered records were written to it first, is handed to the next
+// commit to fsync and close, so rotating never waits for a disk flush.
+// Unbuffered, it is closed here: an unbuffered Sync fsyncs under mu, so
+// none can be using it.
 func (w *Writer) rotate() error {
-	if w.f != nil {
+	if w.f != nil && w.flushBytes > 0 {
+		if err := w.writeBufLocked(); err != nil {
+			return err
+		}
+		w.retired = append(w.retired, w.f)
+		w.wake()
+	} else if w.f != nil {
 		if err := w.f.Close(); err != nil {
 			return fmt.Errorf("reportlog: close segment: %w", err)
 		}
@@ -297,8 +344,9 @@ func (w *Writer) rotate() error {
 
 // Append writes one record. The payload is copied into the record frame;
 // it may be reused by the caller afterwards. Under group commit the
-// record lands in the in-memory buffer (no syscall) and becomes durable
-// at the next commit point; otherwise it is written through immediately.
+// record lands in the in-memory buffer and becomes durable at the next
+// commit; an Append that finds the buffer full write(2)s it first, but
+// never fsyncs. Otherwise the record is written through immediately.
 func (w *Writer) Append(payload []byte) error {
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("reportlog: record of %d bytes exceeds limit %d", len(payload), MaxRecordSize)
@@ -309,100 +357,158 @@ func (w *Writer) Append(payload []byte) error {
 		return w.ferr
 	}
 	if w.size+int64(len(w.buf)) >= w.segmentSize {
-		// Commit buffered records into the old segment before rotating so
+		// Buffered records go to the old segment before the switch, so
 		// file boundaries stay record boundaries.
-		if err := w.commitLocked(); err != nil {
-			return err
-		}
 		if err := w.rotate(); err != nil {
-			return err
+			return w.latchLocked(err)
 		}
 	}
 	w.appended += int64(headerSize + len(payload))
-	if w.flushBytes > 0 {
-		var hdr [headerSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		w.buf = append(w.buf, hdr[:]...)
-		w.buf = append(w.buf, payload...)
-		if len(w.buf) >= w.flushBytes {
-			return w.commitLocked()
-		}
-		return nil
+	if w.flushBytes == 0 {
+		return w.writeLocked(payload)
 	}
-	return w.writeLocked(payload)
+	if len(w.buf)+headerSize+len(payload) > w.flushBytes {
+		// The record does not fit: write the buffer out and let the
+		// flusher fsync it. A record larger than the whole buffer follows
+		// it straight through, so the buffer never grows past flushBytes.
+		if err := w.writeBufLocked(); err != nil {
+			return err
+		}
+		w.wake()
+		if headerSize+len(payload) > w.flushBytes {
+			return w.writeLocked(payload)
+		}
+	}
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	w.buf = append(w.buf, hdr[:]...)
+	w.buf = append(w.buf, payload...)
+	return nil
 }
 
-// writeLocked is the unbuffered append path: header + payload straight
-// to the file.
+// writeLocked writes one record straight to the file: header, then
+// payload. A failure latches, as in writeBufLocked.
 func (w *Writer) writeLocked(payload []byte) error {
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := w.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("reportlog: write header: %w", err)
+		return w.latchLocked(fmt.Errorf("reportlog: write header: %w", err))
 	}
 	if _, err := w.f.Write(payload); err != nil {
-		return fmt.Errorf("reportlog: write payload: %w", err)
+		return w.latchLocked(fmt.Errorf("reportlog: write payload: %w", err))
 	}
 	w.size += int64(headerSize + len(payload))
+	w.wgen++
 	return nil
 }
 
-// commitLocked makes every buffered record durable: one write(2) for the
-// whole buffer, one fsync. Without group commit it is a plain fsync (and
-// skipped entirely while nothing new has been written).
-func (w *Writer) commitLocked() error {
-	if len(w.buf) == 0 && !w.dirty && w.flushBytes > 0 {
+// writeBufLocked writes the buffered records to the current segment
+// with one write(2). A failure latches: a short write leaves a torn
+// record at the tail — exactly the state recovery truncates — and no
+// later write may land after it.
+func (w *Writer) writeBufLocked() error {
+	if len(w.buf) == 0 {
 		return nil
 	}
-	if w.commitNs != nil {
-		defer w.commitNs.ObserveSince(time.Now())
+	n, err := w.f.Write(w.buf)
+	w.size += int64(n)
+	if err != nil {
+		return w.latchLocked(fmt.Errorf("reportlog: flush: %w", err))
 	}
-	if len(w.buf) > 0 {
-		n, err := w.f.Write(w.buf)
-		if err != nil {
-			// A short write leaves a torn record at the tail — exactly the
-			// state Recover handles. Drop the unwritten suffix and stop
-			// accepting appends via the sticky error.
-			w.size += int64(n)
-			w.ferr = fmt.Errorf("reportlog: flush: %w", err)
-			return w.ferr
-		}
-		w.size += int64(n)
-		w.buf = w.buf[:0]
-		w.dirty = true
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("reportlog: sync: %w", err)
-	}
-	w.dirty = false
+	w.buf = w.buf[:0]
+	w.wgen++
 	return nil
 }
 
 // Healthy reports whether the Writer can still accept appends: nil
-// normally, the sticky failure once a flush — foreground or the interval
-// flusher's — has failed. Readiness probes use it, so a server whose disk
-// died stops attracting traffic before clients see their 500s.
+// normally, the sticky failure once a write or fsync — an appender's, the
+// flusher's, Sync's or Close's — has failed. Readiness probes use it, so
+// a server whose disk died stops attracting traffic before clients see
+// their 500s.
 func (w *Writer) Healthy() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.ferr
 }
 
-// Sync commits buffered records and flushes the current segment to
-// stable storage.
+// Sync commits buffered records and flushes the current segment, and any
+// segment rotated out since the last commit, to stable storage. Under
+// group commit the fsyncs run outside the append lock, so appends proceed
+// meanwhile; they are not covered by this Sync. A failure is sticky (see
+// Healthy).
 func (w *Writer) Sync() error {
+	w.smu.Lock()
+	defer w.smu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.ferr != nil {
 		return w.ferr
 	}
-	return w.commitLocked()
+	if w.flushBytes == 0 {
+		// Unbuffered appends write, and rotation closes, the segment
+		// under mu, so this fsync must hold it too.
+		if err := w.fsync(w.f, nil); err != nil {
+			return w.latchLocked(err)
+		}
+		return nil
+	}
+	if err := w.writeBufLocked(); err != nil {
+		return err
+	}
+	f, retired, gen := w.f, w.retired, w.wgen
+	if gen == w.synced && len(retired) == 0 {
+		return nil
+	}
+	w.retired = nil
+	w.mu.Unlock()
+	err := w.fsync(f, retired)
+	w.mu.Lock()
+	if err != nil {
+		return w.latchLocked(err)
+	}
+	w.synced = gen
+	return nil
+}
+
+// latchLocked makes err the Writer's sticky failure, unless it already
+// holds one, and returns the sticky failure.
+func (w *Writer) latchLocked(err error) error {
+	if w.ferr == nil {
+		w.ferr = err
+	}
+	return w.ferr
+}
+
+// fsync makes the retired segments and then f durable, closing the
+// retired ones. It touches no Writer state, so group commit runs it
+// without mu.
+func (w *Writer) fsync(f *os.File, retired []*os.File) error {
+	if w.commitNs != nil {
+		defer w.commitNs.ObserveSince(time.Now())
+	}
+	var first error
+	for _, r := range retired {
+		err := r.Sync()
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("reportlog: sync rotated segment: %w", err)
+		}
+	}
+	if first != nil {
+		return first
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("reportlog: sync: %w", err)
+	}
+	return nil
 }
 
 // Close commits, syncs, and closes the current segment, stopping the
-// interval flusher if one is running. Later appends and syncs fail with
+// flusher if one is running. Later appends and syncs fail with
 // ErrClosed; Position keeps answering, so a final checkpoint can be cut
 // after the last commit.
 func (w *Writer) Close() error {
@@ -411,19 +517,32 @@ func (w *Writer) Close() error {
 		<-w.done
 		w.stop = nil
 	}
+	w.smu.Lock()
+	defer w.smu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.ferr == ErrClosed {
+		w.mu.Unlock()
 		return nil
 	}
 	cerr := w.ferr
 	if cerr == nil {
-		cerr = w.commitLocked()
+		cerr = w.writeBufLocked()
 	}
-	if err := w.f.Close(); cerr == nil {
+	f, retired := w.f, w.retired
+	w.retired, w.ferr = nil, ErrClosed
+	w.mu.Unlock()
+	// Appends and syncs refuse from here on, so the files are Close's
+	// alone and the fsync runs without the append lock.
+	if cerr == nil {
+		cerr = w.fsync(f, retired)
+	} else {
+		for _, r := range retired {
+			r.Close()
+		}
+	}
+	if err := f.Close(); cerr == nil {
 		cerr = err
 	}
-	w.ferr = ErrClosed
 	return cerr
 }
 

@@ -234,3 +234,38 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatalf("readyz after drain cleared: %d", rec.Code)
 	}
 }
+
+// TestReadCappedBody covers both body-read paths: a declared
+// Content-Length (one exact allocation) and an unknown length (capped
+// ReadAll), each under and over the cap, plus a body shorter than its
+// declared length.
+func TestReadCappedBody(t *testing.T) {
+	const limit = 16
+	unknown := func(s string) io.Reader { return io.MultiReader(strings.NewReader(s)) }
+	for _, tc := range []struct {
+		name     string
+		body     io.Reader
+		declared int64 // 0: whatever httptest derives from body
+		want     string
+		tooLarge bool
+		fails    bool
+	}{
+		{name: "declared", body: strings.NewReader("frames"), want: "frames"},
+		{name: "declared at cap", body: strings.NewReader(strings.Repeat("x", limit)), want: strings.Repeat("x", limit)},
+		{name: "declared over cap", body: strings.NewReader(strings.Repeat("x", limit+1)), tooLarge: true},
+		{name: "unknown", body: unknown("frames"), want: "frames"},
+		{name: "unknown over cap", body: unknown(strings.Repeat("x", limit+1)), tooLarge: true},
+		{name: "short of declared", body: strings.NewReader("frames"), declared: 10, fails: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := httptest.NewRequest(http.MethodPost, "/v1/report", tc.body)
+			if tc.declared != 0 {
+				r.ContentLength = tc.declared
+			}
+			body, tooLarge, err := readCapped(r, limit)
+			if (err != nil) != tc.fails || tooLarge != tc.tooLarge || string(body) != tc.want {
+				t.Fatalf("readCapped = %q, tooLarge %v, err %v; want %q, tooLarge %v, fails %v", body, tooLarge, err, tc.want, tc.tooLarge, tc.fails)
+			}
+		})
+	}
+}

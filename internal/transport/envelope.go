@@ -116,17 +116,22 @@ func SplitFrames(buf []byte) ([][]byte, error) {
 	return frames, nil
 }
 
-// replayBatchSize bounds how many replayed frames accumulate in the
-// columnar batch before a flush into the pipeline.
+// replayBatchSize is the frame count at which the replayed columnar
+// batch is flushed into the pipeline (records decode whole, so a chunk
+// can pass it by one record's frames).
 const replayBatchSize = 1024
 
-// ReplayPipeline rebuilds pipeline state from persisted frames (any
-// format DecodeEnvelope accepts), e.g. at server startup with
-// reportlog.Replay. Frames are decoded into a pooled columnar batch and
-// folded in replayBatchSize chunks through Pipeline.AddBatch, so replaying
-// a large log runs at batch-ingest speed. It returns the number of frames
-// decoded; on error, frames of the failing chunk may not have been folded.
-func ReplayPipeline(p *pipeline.Pipeline, frames func(fn func(payload []byte) error) error) (int, error) {
+// ReplayPipeline rebuilds pipeline state from persisted records, e.g. at
+// server startup with reportlog.RecoverFrom. A record is one or more
+// concatenated frames (any format DecodeEnvelope accepts): the pipeline
+// server persists each request body as one record, older logs hold one
+// frame per record, and both replay alike. Records are decoded into a
+// pooled columnar batch and folded in chunks of at least replayBatchSize
+// frames through Pipeline.AddBatch, so replaying a large log runs at
+// batch-ingest speed. It returns the number of frames — reports —
+// decoded; a record that fails to decode contributes none of its frames.
+// On error, frames of the failing chunk may not have been folded.
+func ReplayPipeline(p *pipeline.Pipeline, records func(fn func(record []byte) error) error) (int, error) {
 	b := pipeline.GetBatch()
 	defer pipeline.PutBatch(b)
 	n := 0
@@ -140,13 +145,14 @@ func ReplayPipeline(p *pipeline.Pipeline, frames func(fn func(payload []byte) er
 		b.Reset()
 		return nil
 	}
-	err := frames(func(payload []byte) error {
+	err := records(func(record []byte) error {
 		mark := b.Mark()
-		if err := decodeFrameInto(payload, b); err != nil {
+		k, err := DecodeBatch(record, b)
+		if err != nil {
 			b.Truncate(mark)
-			return fmt.Errorf("transport: replay frame %d: %w", n, err)
+			return fmt.Errorf("transport: replay record at frame %d: %w", n, err)
 		}
-		n++
+		n += k
 		if b.Len() >= replayBatchSize {
 			return flush()
 		}

@@ -26,12 +26,15 @@ type clientConfig struct {
 
 // WithRetry retries failed report uploads under the given policy:
 // connection errors and 5xx responses back off exponentially with full
-// jitter and try again (the server folds nothing on those responses, so
-// redelivery cannot double-count); a 429 is retried at the cadence of the
-// server's Retry-After hint (an overloaded aggregator shed the batch
-// before decoding it, so redelivery is equally safe); other 4xx responses
-// never retry. The whole loop is cut off by the policy's MaxElapsed
-// wall-clock deadline, which also cancels in-flight requests, so a root
+// jitter and try again; a 429 is retried at the cadence of the server's
+// Retry-After hint (an overloaded aggregator shed the batch before
+// decoding it, so redelivery cannot double-count); other 4xx responses
+// never retry. Delivery is at-least-once: the server folds nothing on a
+// 5xx, but a connection error can also be a lost 204 for a batch the
+// server already counted, and the retry then counts it again; exactly
+// once needs a server-side batch dedup the server does not have yet.
+// The whole loop is cut off by the policy's MaxElapsed wall-clock
+// deadline, which also cancels in-flight requests, so a root
 // that trickles bytes cannot stall a client batch indefinitely. The zero
 // policy's fields fall back to cluster.DefaultRetryPolicy, so
 // WithRetry(cluster.RetryPolicy{}) asks for default bounded retries.
@@ -118,10 +121,11 @@ func (c *PipelineClient) Send(ctx context.Context, t schema.Tuple, r *rng.Rand) 
 
 // SendBatch randomizes a batch of tuples and posts all resulting frames
 // in one request. The server validates — and, when persistence is on,
-// journals — the whole batch before folding any of it in, so a rejected
-// batch (400) or a persistence failure (500) has ingested nothing;
-// clients built WithRetry redeliver on 5xx and connection errors without
-// risk of double-counting.
+// journals as one log record — the whole batch before folding any of it
+// in, so a rejected batch (400) or a persistence failure (500) has
+// ingested nothing. Clients built WithRetry redeliver on 5xx and
+// connection errors at least once (see WithRetry): a lost 204 makes the
+// retry count the batch twice.
 func (c *PipelineClient) SendBatch(ctx context.Context, tuples []schema.Tuple, r *rng.Rand) error {
 	if len(tuples) == 0 {
 		return nil

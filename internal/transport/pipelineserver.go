@@ -83,12 +83,11 @@ type PipelineServer struct {
 	p   *pipeline.Pipeline
 	mux *http.ServeMux
 
-	mu   sync.Mutex
 	sink Sink
 
 	// cutMu orders report persistence against checkpoint cuts: every
-	// report request holds it shared from its first WAL append until its
-	// fold completes, and Cut holds it exclusively. merged latches once a
+	// report request holds it shared from its WAL append until its fold
+	// completes, and Cut holds it exclusively. merged latches once a
 	// /v1/merge has folded edge state the WAL does not hold.
 	cutMu  sync.RWMutex
 	merged atomic.Bool
@@ -183,7 +182,8 @@ func WithRequestLog(log *slog.Logger) ServerOption {
 }
 
 // NewPipelineServer wraps a pipeline (and optional persistence sink,
-// which receives every accepted raw frame) in an HTTP handler.
+// which receives every accepted request body, a run of whole report
+// frames, as one Append) in an HTTP handler.
 func NewPipelineServer(p *pipeline.Pipeline, sink Sink, opts ...ServerOption) *PipelineServer {
 	s := &PipelineServer{p: p, sink: sink, mux: http.NewServeMux()}
 	for _, opt := range opts {
@@ -192,7 +192,7 @@ func NewPipelineServer(p *pipeline.Pipeline, sink Sink, opts ...ServerOption) *P
 	s.met = newServerMetrics(s.reg)
 	if sink != nil {
 		s.met.walAppend = s.reg.Histogram("ldp_wal_append_duration_ns",
-			"Time a report request spends appending its frames to the report log, mutex wait included, in nanoseconds.")
+			"Time a report request spends appending its body to the report log, lock wait included, in nanoseconds.")
 	}
 	s.mux.HandleFunc("POST /v1/report", s.admit(s.met.shedReport, s.handleReport))
 	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
@@ -267,11 +267,12 @@ func (s *PipelineServer) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.met.bytesIn.Add(uint64(len(body)))
 	// The whole body decodes into one pooled columnar batch, is validated
 	// up front (a bad frame or invalid report rejects the batch atomically
-	// before any side effect), then persists and folds — WAL first. If the
-	// sink fails, the pipeline has not changed and the 500 tells the
-	// client the batch was not accepted, so a retry cannot double-count;
-	// folding before persisting would leave the 500'd-but-folded batch
-	// counted twice after a client retry.
+	// before any side effect), then persists and folds — WAL first. The
+	// body persists as one log record, so a restart replays all of the
+	// batch or none of it. If the sink fails, the pipeline has not changed
+	// and the 500 tells the client the batch was not accepted; folding
+	// before persisting would leave the 500'd-but-folded batch counted
+	// twice after a client retry.
 	b := pipeline.GetBatch()
 	defer pipeline.PutBatch(b)
 	frames, err := DecodeBatch(body, b)
@@ -291,29 +292,19 @@ func (s *PipelineServer) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.sink != nil {
-		// Persist the validated raw frames, re-slicing the body by frame
-		// length (DecodeBatch already proved every header well-formed).
-		// The shared cut lock spans persist and fold (see Cut).
+		// Persist the validated body — whole frames only, as DecodeBatch
+		// proved — with one append. The shared cut lock spans persist and
+		// fold (see Cut).
 		s.cutMu.RLock()
 		defer s.cutMu.RUnlock()
 		var start time.Time
 		if s.met.walAppend != nil {
 			start = time.Now()
 		}
-		s.mu.Lock()
-		for off := 0; off < len(body); {
-			n, err := FrameLen(body[off:])
-			if err != nil {
-				break
-			}
-			if err := s.sink.Append(body[off : off+n]); err != nil {
-				s.mu.Unlock()
-				status = s.fail(w, "persist: "+err.Error(), http.StatusInternalServerError)
-				return
-			}
-			off += n
+		if err := s.sink.Append(body); err != nil {
+			status = s.fail(w, "persist: "+err.Error(), http.StatusInternalServerError)
+			return
 		}
-		s.mu.Unlock()
 		if s.met.walAppend != nil {
 			s.met.walAppend.ObserveSince(start)
 		}

@@ -10,9 +10,11 @@ import (
 	"ldp/internal/core"
 )
 
-// Sink receives the raw frame of every accepted report; reportlog.Writer
-// satisfies it (wrapped with a mutex by the server). A nil sink disables
-// persistence.
+// Sink persists accepted reports; reportlog.Writer satisfies it. Append
+// must be safe for concurrent use and keep each payload whole: the
+// pipeline server appends each accepted request body (one or more
+// concatenated frames) as one payload, the legacy Server one frame per
+// payload. A nil sink disables persistence.
 type Sink interface {
 	Append(payload []byte) error
 }

@@ -311,8 +311,9 @@ func WithReadyChecks(checks ...ReadyCheck) ServerOption {
 	return transport.WithReadyChecks(checks...)
 }
 
-// ReplayPipeline rebuilds pipeline state from persisted frames (any
-// format DecodeReport accepts), e.g. at startup with reportlog.Replay.
-func ReplayPipeline(p *Pipeline, frames func(fn func(payload []byte) error) error) (int, error) {
-	return transport.ReplayPipeline(p, frames)
+// ReplayPipeline rebuilds pipeline state from persisted records — each
+// one or more concatenated frames in any format DecodeReport accepts —
+// e.g. at startup with reportlog.Replay, and returns the frames decoded.
+func ReplayPipeline(p *Pipeline, records func(fn func(record []byte) error) error) (int, error) {
+	return transport.ReplayPipeline(p, records)
 }
